@@ -306,11 +306,11 @@ class Display:
     def reset_render_stats(self):
         self.render_stats = self._zero_render_stats()
 
-    def record_draw(self, box):
-        """Called by graphics primitives with the clipped absolute box."""
+    def record_draw(self, pixels):
+        """Called by graphics primitives with the pixels they wrote."""
         stats = self.render_stats
         stats["draw_calls"] += 1
-        stats["drawn_pixels"] += (box[2] - box[0]) * (box[3] - box[1])
+        stats["drawn_pixels"] += pixels
 
     def damage_rect(self, window, x, y, width, height):
         """Report a window-relative dirty rect.
@@ -637,6 +637,11 @@ class Display:
         self.closed = True
         self.queue.clear()
         self._damage.clear()
+        # A session's widgets, interpreter and display form reference
+        # cycles, so the display outlives its session until the cyclic
+        # GC runs; let go of the framebuffer now.  Drawing into a closed
+        # display clips to nothing.
+        self.screen.framebuffer = numpy.zeros((0, 0), dtype=numpy.uint32)
 
 
 _displays = {}

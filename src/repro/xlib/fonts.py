@@ -148,10 +148,7 @@ class Font:
         if code <= 32:
             return [0] * 7
         seed = (code * 2654435761) & 0xFFFFFFFF
-        rows = []
-        for row in range(7):
-            rows.append((seed >> (row * 4)) & 0x1F or 0x04)
-        return rows
+        return [(seed >> shift) & 0x1F or 0x04 for shift in range(0, 28, 4)]
 
     def __repr__(self):  # pragma: no cover
         return "Font(%r)" % self.name

@@ -8,6 +8,9 @@ and a rough arc.  Text uses the deterministic glyphs from
 :mod:`repro.xlib.fonts`, so a painted Label provably contains its text.
 """
 
+import bisect
+import itertools
+
 import numpy
 
 from repro.xlib.display import Window
@@ -89,7 +92,7 @@ def _paint_box(target, x, y, w, h):
     box = _clip_rect(fb, ox, oy, cw, ch, x, y, w, h,
                      None if window is None else window.paint_clip)
     if box is not None and window is not None:
-        window.display.record_draw(box)
+        window.display.record_draw((box[2] - box[0]) * (box[3] - box[1]))
     return fb, box
 
 
@@ -173,24 +176,60 @@ def draw_arc_outline(drawable, gc, x, y, width, height):
 
 
 def draw_string(drawable, gc, x, y, text):
-    """Draw text with the GC font; (x, y) is the baseline origin."""
+    """Draw text with the GC font; (x, y) is the baseline origin.
+
+    Each glyph is a 5x7 grid of ``scale_x`` x ``scale_y`` cells.  The
+    string is painted with one masked store: a coverage mask counts, per
+    pixel, the lit cells covering it (proportional and bold glyphs
+    overlap their neighbours), so ``drawn_pixels`` grows by the clipped
+    area of every lit cell, overlaps counted again, as if each cell were
+    filled on its own.  It is one draw call per string."""
+    if not text:
+        return 0
     font = gc.font
-    cursor = x
-    top = y - font.ascent
+    starts = list(itertools.accumulate(
+        (font.char_width(ch) for ch in text), initial=0))
+    advance = starts.pop()
     scale_x = max(1, font.size // 10)
     scale_y = max(1, font.height // 8)
-    for ch in text:
-        width = font.char_width(ch)
-        rows = font.glyph_bits(ch)
-        for row, bits in enumerate(rows):
-            for col in range(5):
-                if bits & (1 << col):
-                    fill_rectangle(drawable, gc,
-                                   cursor + col * scale_x,
-                                   top + row * scale_y,
-                                   scale_x, scale_y)
-        cursor += width
-    return cursor - x
+    grid_w, height = 5 * scale_x, 7 * scale_y
+    top = y - font.ascent
+    fb, ox, oy, clip_w, clip_h, window = _target(drawable)
+    box = _clip_rect(fb, ox, oy, clip_w, clip_h, x, top,
+                     starts[-1] + grid_w, height,
+                     None if window is None else window.paint_clip)
+    if box is None:
+        return advance
+    ax0, ay0, ax1, ay1 = box
+    mx, my = ox + x, oy + top
+    # Only the glyphs whose grid reaches into the box are rasterised: a
+    # string far wider than the screen (client text is unbounded) costs
+    # no more than one that fits.
+    left, right = ax0 - mx, ax1 - mx
+    first = bisect.bisect_right(starts, left - grid_w)
+    last = bisect.bisect_left(starts, right)
+    starts = starts[first:last]
+    if not starts:  # the box falls between two wide glyphs
+        return advance
+    lo = min(left, starts[0])
+    span = max(right, starts[-1] + grid_w) - lo
+    # Every pixel of every lit cell as (glyph, row, column), then a
+    # count per pixel.
+    rows = numpy.array([font.glyph_bits(ch) for ch in text[first:last]],
+                       dtype=numpy.uint8)
+    cells = (rows[:, :, None] >> numpy.arange(5, dtype=numpy.uint8)) & 1
+    cells = cells.repeat(scale_y, axis=1).repeat(scale_x, axis=2)
+    glyph, row, col = cells.nonzero()
+    offsets = numpy.array(starts) - lo
+    coverage = numpy.bincount(row * span + offsets[glyph] + col,
+                              minlength=height * span).reshape(height, span)
+    coverage = coverage[ay0 - my : ay1 - my, left - lo : right - lo]
+    pixels = int(coverage.sum())
+    if pixels:
+        fb[ay0:ay1, ax0:ax1][coverage != 0] = gc.foreground
+        if window is not None:
+            window.display.record_draw(pixels)
+    return advance
 
 
 def draw_image_string(drawable, gc, x, y, text):

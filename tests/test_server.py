@@ -7,13 +7,17 @@ sockets, budget bombs, stalled readers) is injected deterministically
 with no sleeps longer than the budgets under test.
 """
 
+import collections
+import gc
 import os
 import signal
 import socket
+import sys
 
 import pytest
 
 from repro.xlib import close_all_displays
+from repro.xlib.graphics import GC, draw_string, fill_rectangle
 from repro.server import (
     ServerConfig,
     SessionQuotas,
@@ -555,3 +559,70 @@ class TestSharedCore:
         # The shared core survives the session-level Wafe.quit().
         b = open_session(server, tcp)
         assert b"next" in roundtrip(server, b, "next")
+
+
+def _xlib_module_state():
+    """Sizes of every module-level container in ``repro.xlib``."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro.xlib"):
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set, collections.deque)):
+                sizes[name, attr] = len(value)
+    return sizes
+
+
+def _wait_for(server, client, token):
+    out = b""
+    for __ in range(200):
+        pump(server, 5)
+        out += drain(client)
+        if token in out:
+            return out
+    raise AssertionError("no %r; got %r" % (token, out[-200:]))
+
+
+class TestSessionMemory:
+    def test_ended_session_releases_framebuffer(self, server, tcp):
+        gc.disable()
+        try:
+            client = open_session(server, tcp)
+            session = list(server.sessions.values())[0]
+            display = session.wafe.app.default_display
+            client.sendall(b"%label l topLevel label hi\n%realize\n"
+                           b"%echo painted\n")
+            _wait_for(server, client, b"painted")
+            window = session.wafe.widgets["l"].window
+            client.sendall(b"%quit\n")
+            pump(server, 20)
+            assert session.ended and not server.sessions
+            # Without a cyclic collection the display is still alive,
+            # but its framebuffer is already gone...
+            assert display.screen.framebuffer.shape == (0, 0)
+            # ...and drawing into it is a no-op, not an error.
+            display.reset_render_stats()
+            draw_string(window, GC(), 0, 10, "late")
+            fill_rectangle(window, GC(), 0, 0, 5, 5)
+            assert display.render_stats["draw_calls"] == 0
+        finally:
+            gc.enable()
+
+    def test_hostile_text_paints_within_quotas(self, server, tcp):
+        client = open_session(server, tcp)
+        session = list(server.sessions.values())[0]
+        display = session.wafe.app.default_display
+        client.sendall(b"%label l topLevel label x\n%realize\n"
+                       b"%echo ready\n")
+        _wait_for(server, client, b"ready")
+        before = _xlib_module_state()
+        drawn = display.render_stats["drawn_pixels"]
+        # A few thousand distinct code points, none of them Latin.
+        text = "".join(chr(0x4E00 + i) for i in range(3000))
+        client.sendall(b"%sV l label {" + text.encode("utf-8") + b"}\n"
+                       b"%echo [string length [gV l label]]\n")
+        assert b"3000" in _wait_for(server, client, b"3000")
+        assert display.render_stats["drawn_pixels"] > drawn
+        assert session.quotas.total_trips() == 0
+        assert not session.ended
+        assert _xlib_module_state() == before

@@ -1,9 +1,13 @@
 """Tests for colors, fonts, drawing, and image formats."""
 
+import tracemalloc
+
 import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.xlib import close_all_displays, open_display
+from repro.xlib.display import Display
 from repro.xlib.colors import alloc_color, ColorError, parse_color, pixel_to_rgb
 from repro.xlib.fonts import default_font, FontError, list_fonts, load_font
 from repro.xlib.graphics import (
@@ -166,6 +170,161 @@ class TestDrawing:
         fill_rectangle(pixmap, gc, 2, 2, 3, 3)
         assert pixmap.framebuffer[3, 3] == 1
         assert pixmap.framebuffer[0, 0] == 0
+
+
+def reference_draw_string(drawable, gc, x, y, text):
+    """The executable spec of ``draw_string``: one ``fill_rectangle``
+    per lit cell of each glyph's 5x7 grid."""
+    font = gc.font
+    cursor = x
+    top = y - font.ascent
+    scale_x = max(1, font.size // 10)
+    scale_y = max(1, font.height // 8)
+    for ch in text:
+        for row, bits in enumerate(font.glyph_bits(ch)):
+            for col in range(5):
+                if bits & (1 << col):
+                    fill_rectangle(drawable, gc,
+                                   cursor + col * scale_x,
+                                   top + row * scale_y,
+                                   scale_x, scale_y)
+        cursor += font.char_width(ch)
+    return cursor - x
+
+
+#: Every size (8-24 px: glyph scale 1-3), monospace and proportional,
+#: medium and bold.
+_FONT_NAMES = [name for name in list_fonts("*", max_names=1000)
+               if "-fixed-" in name or "-lucida-" in name
+               or "-helvetica-" in name]
+
+# Spaces and control characters (blank glyphs), the narrow and wide
+# proportional classes, and code points far outside Latin-1.
+_text = st.text(
+    st.one_of(
+        st.sampled_from(" \t\x00iljI.,:;'|!mwMW@"),
+        st.characters(min_codepoint=0, max_codepoint=0x7F),
+        st.characters(min_codepoint=0x100, max_codepoint=0x10FFFF),
+    ),
+    max_size=12,
+)
+
+
+def _drawable_pair(kind, wx, wy, width, height, paint_clip):
+    """Two identical drawables on separate framebuffers."""
+    if kind == "pixmap":
+        return Pixmap(width, height), Pixmap(width, height)
+    pair = []
+    for __ in range(2):
+        win = Display().create_window(None, wx, wy, width, height)
+        win.paint_clip = paint_clip
+        pair.append(win)
+    return pair
+
+
+class TestDrawStringDifferential:
+    """``draw_string`` paints a whole string with one masked store; it
+    must write the same framebuffer bytes and count the same pixels as
+    the per-cell spec above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        font_name=st.sampled_from(_FONT_NAMES),
+        text=_text,
+        kind=st.sampled_from(["window", "window", "pixmap"]),
+        wx=st.integers(-80, 1040),
+        wy=st.integers(-40, 780),
+        width=st.integers(1, 160),
+        height=st.integers(1, 60),
+        x=st.integers(-40, 150),
+        y=st.integers(-20, 80),
+        paint_clip=st.one_of(
+            st.none(),
+            st.tuples(st.integers(-10, 100), st.integers(-10, 40),
+                      st.integers(0, 170), st.integers(0, 70))),
+    )
+    def test_matches_per_cell_spec(self, font_name, text, kind, wx, wy,
+                                   width, height, x, y, paint_clip):
+        gc = GC(foreground=0x123456, font=load_font(font_name))
+        fast, spec = _drawable_pair(kind, wx, wy, width, height,
+                                    paint_clip)
+        advance = draw_string(fast, gc, x, y, text)
+        assert advance == reference_draw_string(spec, gc, x, y, text)
+        assert advance == gc.font.text_width(text)
+        if kind == "pixmap":
+            fast_fb, spec_fb = fast.framebuffer, spec.framebuffer
+        else:
+            fast_fb = fast.display.screen.framebuffer
+            spec_fb = spec.display.screen.framebuffer
+            fast_stats = fast.display.render_stats
+            spec_stats = spec.display.render_stats
+            assert fast_stats["drawn_pixels"] == spec_stats["drawn_pixels"]
+            # One draw call per string that wrote anything.
+            assert fast_stats["draw_calls"] == \
+                (1 if spec_stats["drawn_pixels"] else 0)
+        assert fast_fb.tobytes() == spec_fb.tobytes()
+
+    @pytest.mark.parametrize("font_name", [
+        "*helvetica-medium-r*8*", "*lucida-bold-r*14*",
+        "*lucida-bold-r*24*", "*courier-medium-r*18*"])
+    def test_every_clip_edge(self, font_name):
+        # A clip box edge at each column of the string: glyphs reaching
+        # into the box by one column still paint it, and glyphs next
+        # to it paint nothing.
+        gc = GC(font=load_font(font_name))
+        text = "MWi@l W!j"
+        fast, spec = _drawable_pair("window", 3, 2, 300, 40, None)
+        for x0 in range(-2, gc.font.text_width(text) + 12):
+            for width in (1, 4):
+                for win in (fast, spec):
+                    win.display.screen.framebuffer[:] = 0xFFFFFF
+                    win.display.reset_render_stats()
+                    win.paint_clip = (x0, 0, x0 + width, 40)
+                draw_string(fast, gc, 1, 30, text)
+                reference_draw_string(spec, gc, 1, 30, text)
+                assert fast.display.render_stats["drawn_pixels"] == \
+                    spec.display.render_stats["drawn_pixels"]
+                assert fast.display.screen.framebuffer.tobytes() == \
+                    spec.display.screen.framebuffer.tobytes()
+
+    def test_overlapping_bold_glyphs_count_every_cell(self):
+        # Narrow bold lucida at 24 px: each 10 px wide glyph grid
+        # advances 8 px, so neighbouring glyphs share pixels.
+        gc = GC(font=load_font("*lucida-bold-r*24*"))
+        fast, spec = _drawable_pair("window", 0, 0, 200, 40, None)
+        draw_string(fast, gc, 0, 30, "iiiiii")
+        reference_draw_string(spec, gc, 0, 30, "iiiiii")
+        fast_fb = fast.display.screen.framebuffer
+        painted = int((fast_fb == gc.foreground).sum())
+        drawn = fast.display.render_stats["drawn_pixels"]
+        assert drawn > painted  # overlaps counted again, as in the spec
+        assert drawn == spec.display.render_stats["drawn_pixels"]
+        assert fast_fb.tobytes() == spec.display.screen.framebuffer.tobytes()
+
+    def test_offscreen_glyphs_are_not_rasterised(self):
+        # Client text is unbounded: 60000 glyphs at 24 px span 900000
+        # pixels, yet only the ones inside the 1024 px framebuffer are
+        # rasterised (a whole-string mask would peak near 350 MB).
+        gc = GC(font=load_font("*lucida-bold-r*24*"))
+        win = Display().create_window(None, 0, 0, 2000, 40)
+        text = "".join(chr(0x4E00 + i) for i in range(60000))
+        tracemalloc.start()
+        try:
+            draw_string(win, gc, 0, 30, text)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert win.display.render_stats["drawn_pixels"] > 0
+        assert peak < 8 * 2**20
+
+    def test_clipped_away_string_records_nothing(self):
+        gc = GC()
+        win = Display().create_window(None, 0, 0, 50, 20)
+        win.paint_clip = (0, 0, 10, 10)
+        assert draw_string(win, gc, 20, 15, "wafe") == \
+            gc.font.text_width("wafe")
+        assert win.display.render_stats["draw_calls"] == 0
+        assert draw_string(win, gc, 0, 15, "") == 0
 
 
 class TestClipRect:
